@@ -57,10 +57,12 @@ func benchRun(b *testing.B, cfg Config) {
 // the conflict index but restores the original dispatch pass and calendar —
 // the previous PR's engine, the baseline this PR's allocation work is
 // measured against. NaiveFull disables both fast paths.
-func BenchmarkCCABaseFast(b *testing.B)          { benchRun(b, benchCCAConfig(30, 300, 8, false, false)) }
-func BenchmarkCCABaseNaiveDispatch(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, false, true)) }
-func BenchmarkCCABaseNaiveScan(b *testing.B)     { benchRun(b, benchCCAConfig(30, 300, 8, true, false)) }
-func BenchmarkCCABaseNaiveFull(b *testing.B)     { benchRun(b, benchCCAConfig(30, 300, 8, true, true)) }
+func BenchmarkCCABaseFast(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, false, false)) }
+func BenchmarkCCABaseNaiveDispatch(b *testing.B) {
+	benchRun(b, benchCCAConfig(30, 300, 8, false, true))
+}
+func BenchmarkCCABaseNaiveScan(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, false)) }
+func BenchmarkCCABaseNaiveFull(b *testing.B) { benchRun(b, benchCCAConfig(30, 300, 8, true, true)) }
 
 func BenchmarkCCALargeDBHighMPLFast(b *testing.B) {
 	benchRun(b, benchCCAConfig(8192, 400, 25, false, false))

@@ -811,7 +811,7 @@ func (e *Engine) startItem(t *Txn) {
 		mode = lock.Read
 	}
 	var rollback time.Duration
-	for !e.lm.Acquire(lock.TxnID(t.ID()), item, mode) {
+	for !e.lm.AcquireRanked(lock.TxnID(t.ID()), item, mode, t.priority) {
 		holders := e.lm.Conflicting(lock.TxnID(t.ID()), item, mode)
 		if len(holders) == 0 {
 			// Shared-lock corner: the grant is blocked not by a
@@ -905,7 +905,17 @@ func (e *Engine) block(t *Txn, item txn.Item, mode lock.Mode) {
 	// continuously re-evaluated priorities can invert a wait edge after
 	// it is created — cycles are possible and are resolved by aborting
 	// the lowest-priority member.
-	if cycle := e.lm.DetectCycle(lock.TxnID(t.ID())); len(cycle) > 0 {
+	//
+	// One block can close several cycles at once, and DetectCycle reports
+	// only the first it finds: resolve until none is reachable from t.
+	// Stopping after one victim can leave a real cycle standing behind a
+	// queue edge through a waiter that restarts and re-queues at the same
+	// instant — a livelock with the clock stopped.
+	for {
+		cycle := e.lm.DetectCycle(lock.TxnID(t.ID()))
+		if len(cycle) == 0 {
+			break
+		}
 		e.resolveDeadlock(cycle)
 	}
 	e.requestReschedule()
@@ -1237,9 +1247,13 @@ func (e *Engine) reschedule() {
 func (e *Engine) dispatchPassNaive() {
 	// Continuous evaluation.
 	for _, t := range e.live {
-		t.priority = e.policy.Evaluate(e, t)
-		if e.policy.Inherits() && t.inherited > t.priority {
-			t.priority = t.inherited
+		pr := e.policy.Evaluate(e, t)
+		if e.policy.Inherits() && t.inherited > pr {
+			pr = t.inherited
+		}
+		if pr != t.priority {
+			t.priority = pr
+			e.requeue(t)
 		}
 	}
 
@@ -1426,6 +1440,7 @@ func (e *Engine) dispatchPass() {
 		if pr != t.priority {
 			t.priority = pr
 			dirty = true
+			e.requeue(t)
 		}
 	}
 	if dirty {
@@ -1538,6 +1553,14 @@ func (e *Engine) dispatchPass() {
 			// pass must be recomputed.
 			return
 		}
+	}
+}
+
+// requeue keeps a lock-waiting t's queued request at t's current priority
+// (see lock.Manager.Reprioritize) and wakes any request the move unblocks.
+func (e *Engine) requeue(t *Txn) {
+	if t.state == StateLockWait {
+		e.wake(e.lm.Reprioritize(lock.TxnID(t.ID()), t.priority))
 	}
 }
 

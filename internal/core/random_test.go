@@ -81,92 +81,154 @@ func genRandomWorkload(rng *rand.Rand, dbSize, count int, withIO bool) *workload
 	return wl
 }
 
-// TestQuickRandomWorkloadsDrainSerializable: the heavyweight end-to-end
-// property — every policy, random adversarial workloads, invariants on,
-// serializability checked, final state matched against the history.
+// drainsSerializable is the heavyweight end-to-end property: the policy
+// polQ selects drains a random adversarial workload with invariants on,
+// the history is serializable, and the final store state matches the last
+// committed writer of every item.
+func drainsSerializable(seed int64, polQ uint8, ioQ bool) bool {
+	pols := Policies()
+	rng := rand.New(rand.NewSource(seed))
+	pol := pols[int(polQ)%len(pols)]
+	if pol == PCP && ioQ {
+		pol = EDFHP // PCP is main-memory only
+	}
+	wl := genRandomWorkload(rng, 40, 60, ioQ)
+	cfg := MainMemoryConfig(pol, seed)
+	cfg.Workload = wl.Params
+	cfg.CheckInvariants = true
+	cfg.RecordHistory = true
+	e, err := NewWithWorkload(cfg, wl)
+	if err != nil {
+		return false
+	}
+	res, err := e.Run()
+	if err != nil || res.Committed != 60 {
+		return false
+	}
+	if ok, _ := e.History().Serializable(); !ok {
+		return false
+	}
+	// Final store state matches the last committed writer per item.
+	last := map[txn.Item]int{}
+	for _, op := range e.History().Ops() {
+		if op.Kind == 1 {
+			last[op.Item] = op.Txn
+		}
+	}
+	for it := 0; it < 40; it++ {
+		v := e.Store().Get(txn.Item(it))
+		if w, ok := last[txn.Item(it)]; ok {
+			if int(v.Writer) != w {
+				return false
+			}
+		} else if v.Writer != -1 {
+			return false
+		}
+	}
+	return true
+}
+
+// drainsFirm is drainsSerializable under firm deadlines: commit + dropped
+// must account for every transaction.
+func drainsFirm(seed int64, polQ uint8) bool {
+	pols := Policies()
+	rng := rand.New(rand.NewSource(seed))
+	pol := pols[int(polQ)%len(pols)]
+	if pol == PCP {
+		pol = EDFHP // PCP is main-memory only (workload has IO)
+	}
+	wl := genRandomWorkload(rng, 30, 50, true)
+	cfg := MainMemoryConfig(pol, seed)
+	cfg.Workload = wl.Params
+	cfg.FirmDeadlines = true
+	cfg.CheckInvariants = true
+	cfg.RecordHistory = true
+	e, err := NewWithWorkload(cfg, wl)
+	if err != nil {
+		return false
+	}
+	res, err := e.Run()
+	if err != nil || res.Committed+res.Dropped != 50 {
+		return false
+	}
+	ok, _ := e.History().Serializable()
+	return ok
+}
+
+// TestQuickRandomWorkloadsDrainSerializable: drainsSerializable over every
+// policy and random workloads.
 func TestQuickRandomWorkloadsDrainSerializable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pols := Policies()
-	f := func(seed int64, polQ uint8, ioQ bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pol := pols[int(polQ)%len(pols)]
-		if pol == PCP && ioQ {
-			pol = EDFHP // PCP is main-memory only
-		}
-		wl := genRandomWorkload(rng, 40, 60, ioQ)
-		cfg := MainMemoryConfig(pol, seed)
-		cfg.Workload = wl.Params
-		cfg.CheckInvariants = true
-		cfg.RecordHistory = true
-		e, err := NewWithWorkload(cfg, wl)
-		if err != nil {
-			return false
-		}
-		res, err := e.Run()
-		if err != nil || res.Committed != 60 {
-			return false
-		}
-		if ok, _ := e.History().Serializable(); !ok {
-			return false
-		}
-		// Final store state matches the last committed writer per item.
-		last := map[txn.Item]int{}
-		for _, op := range e.History().Ops() {
-			if op.Kind == 1 {
-				last[op.Item] = op.Txn
-			}
-		}
-		for it := 0; it < 40; it++ {
-			v := e.Store().Get(txn.Item(it))
-			if w, ok := last[txn.Item(it)]; ok {
-				if int(v.Writer) != w {
-					return false
-				}
-			} else if v.Writer != -1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(drainsSerializable, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickRandomWorkloadsFirmMode: as above under firm deadlines
-// (commit + dropped must account for every transaction).
+// TestQuickRandomWorkloadsFirmMode: as above under firm deadlines.
 func TestQuickRandomWorkloadsFirmMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pols := Policies()
-	f := func(seed int64, polQ uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pol := pols[int(polQ)%len(pols)]
-		if pol == PCP {
-			pol = EDFHP // PCP is main-memory only (workload has IO)
-		}
-		wl := genRandomWorkload(rng, 30, 50, true)
-		cfg := MainMemoryConfig(pol, seed)
-		cfg.Workload = wl.Params
-		cfg.FirmDeadlines = true
-		cfg.CheckInvariants = true
-		cfg.RecordHistory = true
-		e, err := NewWithWorkload(cfg, wl)
-		if err != nil {
-			return false
-		}
-		res, err := e.Run()
-		if err != nil || res.Committed+res.Dropped != 50 {
-			return false
-		}
-		ok, _ := e.History().Serializable()
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(drainsFirm, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The two inputs below once livelocked the scheduler ("reschedule did not
+// converge") inside a single instant. A newly blocked transaction closed
+// two cycles: a real two-transaction deadlock, and a longer one through a
+// waiter queued ahead of it. Deadlock resolution aborted only the longer
+// cycle's lowest-priority member; that waiter restarted at once,
+// re-queued ahead, and re-formed the same cycle forever while the real
+// deadlock stood. Resolution now repeats until no cycle is reachable.
+
+func TestLivelockRegressionEDFCRFirm(t *testing.T) {
+	if pol := Policies()[0xcc%len(Policies())]; pol != EDFCR {
+		t.Fatalf("input selects %s, want %s", pol, EDFCR)
+	}
+	if !drainsFirm(int64(0x199d5f47ade38bf9), 0xcc) {
+		t.Fatal("firm-deadline EDF-CR workload did not drain serializably")
+	}
+}
+
+func TestLivelockRegressionEDFWPWithIO(t *testing.T) {
+	if pol := Policies()[0xfc%len(Policies())]; pol != EDFWP {
+		t.Fatalf("input selects %s, want %s", pol, EDFWP)
+	}
+	if !drainsSerializable(int64(0x5d9e9e511caead8b), 0xfc, true) {
+		t.Fatal("EDF-WP workload with IO did not drain serializably")
+	}
+}
+
+// TestLivelockRegressionReaderBypass pins inputs that tripped the event
+// guard with the clock still advancing. A higher-ranked writer waited on
+// an item held by readers while lower-ranked readers kept joining them:
+// each restart of a deadlock victim re-acquired the read lock past the
+// queued writer, whose request was compared at the stale priority it was
+// enqueued under. Readers now queue behind a writer that ranks at or
+// above them (lock.Manager.AcquireRanked), and a waiter's request follows
+// its current priority (lock.Manager.Reprioritize).
+func TestLivelockRegressionReaderBypass(t *testing.T) {
+	for _, in := range []struct {
+		seed int64
+		polQ uint8
+		pol  PolicyKind
+	}{
+		{1379300364308416088, 0x22, EDFCR},
+		{-6043019106532136069, 0x86, EDFCR},
+		{-2451176194297050249, 0x7c, EDFCR},
+		{-6241403978391933245, 0xca, EDFWP},
+		{-3746153168460560919, 0x5c, EDFWP},
+		{-695703195310066772, 0x3f, LSFHP},
+	} {
+		if pol := Policies()[int(in.polQ)%len(Policies())]; pol != in.pol {
+			t.Fatalf("input %#x selects %s, want %s", in.polQ, pol, in.pol)
+		}
+		if !drainsSerializable(in.seed, in.polQ, true) {
+			t.Errorf("%s workload (seed %d) did not drain serializably", in.pol, in.seed)
+		}
 	}
 }
 

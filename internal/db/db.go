@@ -43,13 +43,15 @@ type undoRec struct {
 // exclusive locks until commit).
 //
 // Undo logs are dense slices indexed by transaction ID (IDs are dense
-// arrival indices throughout the repository): commit and abort empty a log
-// but keep its capacity, so a restarted transaction's next life — and the
-// write-heavy engine hot path generally — logs before-images without
-// allocating.
+// arrival indices throughout the repository). Commit and abort hand a log
+// back to a per-store free list, so the next transaction to write — a
+// restarted one's next life or a fresh arrival — logs before-images
+// without allocating, and log memory tracks the transactions with pending
+// writes rather than every transaction ever run.
 type Store struct {
 	values []Value
-	undo   [][]undoRec // by TxnID; emptied (capacity kept) on commit/abort
+	undo   [][]undoRec // by TxnID; nil when the transaction has no pending writes
+	spare  [][]undoRec // emptied logs ready for reuse
 	active int         // transactions with a non-empty undo log
 	seq    uint64
 
@@ -110,12 +112,17 @@ func (s *Store) Write(t TxnID, incarnation int, item txn.Item) Value {
 		copy(grown, s.undo)
 		s.undo = grown
 	}
-	if len(s.undo[t]) == 0 {
+	if s.undo[t] == nil {
 		s.active++
-		if s.undo[t] == nil {
+		if n := len(s.spare); n > 0 {
+			s.undo[t] = s.spare[n-1]
+			s.spare = s.spare[:n-1]
+		} else {
 			s.undo[t] = make([]undoRec, 0, 32)
 		}
 	}
+	// Appending to the table slot itself updates only its length (no
+	// write barrier) while the log has capacity.
 	s.undo[t] = append(s.undo[t], undoRec{item: item, before: s.values[item]})
 	s.seq++
 	s.writes++
@@ -140,22 +147,25 @@ func (s *Store) Abort(t TxnID) int {
 	for i := len(log) - 1; i >= 0; i-- {
 		s.values[log[i].item] = log[i].before
 	}
-	if len(log) > 0 {
-		s.active--
-		s.undo[t] = log[:0]
-	}
+	s.release(t)
 	s.aborts++
 	return len(log)
+}
+
+// release returns t's undo log, if any, to the free list.
+func (s *Store) release(t TxnID) {
+	if log := s.undoOf(t); log != nil {
+		s.active--
+		s.undo[t] = nil
+		s.spare = append(s.spare, log[:0])
+	}
 }
 
 // Commit makes t's writes permanent by discarding its undo log. It returns
 // the number of writes committed.
 func (s *Store) Commit(t TxnID) int {
 	n := len(s.undoOf(t))
-	if n > 0 {
-		s.active--
-		s.undo[t] = s.undo[t][:0]
-	}
+	s.release(t)
 	s.commits++
 	return n
 }

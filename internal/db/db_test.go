@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -213,4 +214,62 @@ func TestQuickUndoCorrectness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUndoLogRecycling: commit and abort hand undo logs to the free list,
+// so a steady Write→Commit cycle for a fresh transaction allocates
+// nothing once the ID table covers it.
+func TestUndoLogRecycling(t *testing.T) {
+	s := New(16)
+	s.Write(1000, 0, 3) // sizes the ID table and allocates one log
+	s.Commit(1000)
+	id := TxnID(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		s.Write(id, 0, txn.Item(id%16))
+		s.Write(id, 0, txn.Item((id+5)%16))
+		if id%2 == 0 {
+			s.Commit(id)
+		} else {
+			s.Abort(id)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Write→Commit/Abort cycle allocates %v times per run, want 0", allocs)
+	}
+	if s.ActiveWriters() != 0 || len(s.spare) != 1 {
+		t.Fatalf("after the cycles: %d active writers, %d spare logs; want 0 and 1", s.ActiveWriters(), len(s.spare))
+	}
+}
+
+// TestUndoLogReuseKeepsAnswers: a log reused by another transaction
+// carries nothing over — pending counts and rollback stay per transaction.
+func TestUndoLogReuseKeepsAnswers(t *testing.T) {
+	s := New(8)
+	s.Write(1, 0, 1)
+	s.Write(1, 0, 2)
+	s.Commit(1)
+	after1 := s.Snapshot()
+
+	s.Write(2, 0, 5) // reuses T1's log
+	if len(s.spare) != 0 {
+		t.Fatalf("T2 did not take T1's log from the free list (%d spare)", len(s.spare))
+	}
+	if s.Pending(1) != 0 || s.Pending(2) != 1 {
+		t.Fatalf("Pending(T1), Pending(T2) = %d, %d; want 0, 1", s.Pending(1), s.Pending(2))
+	}
+	s.Write(1, 1, 6) // T1's next life takes a fresh log
+	if s.Pending(1) != 1 || s.Pending(2) != 1 {
+		t.Fatalf("Pending(T1), Pending(T2) = %d, %d; want 1, 1", s.Pending(1), s.Pending(2))
+	}
+	if n := s.Abort(2); n != 1 {
+		t.Fatalf("Abort(T2) undid %d writes, want 1", n)
+	}
+	if n := s.Abort(1); n != 1 {
+		t.Fatalf("Abort(T1) undid %d writes, want 1", n)
+	}
+	if got := s.Snapshot(); !reflect.DeepEqual(got, after1) {
+		t.Fatalf("state after aborts = %+v, want T1's committed state %+v", got, after1)
+	}
+	s.CheckClean()
 }

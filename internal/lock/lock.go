@@ -16,12 +16,15 @@
 // manager sits on the engine's per-access hot path, and the slice layout
 // makes the common operations — acquire with no conflict, release-all at
 // commit — allocation-free. Each item's first holder is stored inline
-// (exclusive-lock workloads never have a second), and a transaction's held
-// list keeps its capacity across the release/reacquire cycles of restarts.
+// (exclusive-lock workloads never have a second), and ReleaseAll hands a
+// transaction's held list back to a per-manager free list, so lists are
+// reused across restarts and transactions and their memory tracks the
+// transactions holding locks, not every transaction ever run.
 package lock
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/txn"
@@ -158,7 +161,8 @@ type heldItem struct {
 // Manager tracks lock ownership and wait queues for a set of items.
 type Manager struct {
 	items   []entry      // indexed by item
-	held    [][]heldItem // indexed by TxnID; emptied (capacity kept) on release
+	held    [][]heldItem // indexed by TxnID; nil when holding nothing
+	spare   [][]heldItem // emptied held lists ready for reuse
 	waiting []*Request   // indexed by TxnID; nil when not blocked
 }
 
@@ -220,8 +224,8 @@ func (m *Manager) heldOf(t TxnID) []heldItem {
 }
 
 // heldSetOrAdd records t's hold of item in its held list (or updates the
-// mode on upgrade). The first acquisition of a transaction's life allocates
-// the list; releases keep the capacity for the next life.
+// mode on upgrade). The first acquisition of a transaction's life takes a
+// list from the free list, allocating only when it is empty.
 func (m *Manager) heldSetOrAdd(t TxnID, item txn.Item, mode Mode) {
 	m.growTxn(t)
 	hs := m.held[t]
@@ -232,9 +236,16 @@ func (m *Manager) heldSetOrAdd(t TxnID, item txn.Item, mode Mode) {
 		}
 	}
 	if hs == nil {
-		hs = make([]heldItem, 0, 32)
+		if n := len(m.spare); n > 0 {
+			m.held[t] = m.spare[n-1]
+			m.spare = m.spare[:n-1]
+		} else {
+			m.held[t] = make([]heldItem, 0, 32)
+		}
 	}
-	m.held[t] = append(hs, heldItem{item: item, mode: mode})
+	// Appending to the table slot itself updates only its length (no
+	// write barrier) while the list has capacity.
+	m.held[t] = append(m.held[t], heldItem{item: item, mode: mode})
 }
 
 // Holds reports whether t holds a lock on item (in any mode).
@@ -313,7 +324,23 @@ func sortTxnIDs(ids []TxnID) {
 // Read->Write when t is the sole holder. It reports whether the lock was
 // granted; when it returns false the caller must decide between Wound
 // (release the holders) and Wait (Enqueue). Acquire never enqueues.
+//
+// Acquire ranks the request above every queued one, so a reader always
+// joins current readers; AcquireRanked applies the wait queue's order.
 func (m *Manager) Acquire(t TxnID, item txn.Item, mode Mode) bool {
+	return m.AcquireRanked(t, item, mode, math.Inf(1))
+}
+
+// AcquireRanked is Acquire for a requester of the given priority (the
+// value Enqueue would queue it under). A reader joins current readers only
+// if no queued writer ranks at or above it: the wait queue is
+// priority-ordered, so the reader would queue behind that writer, and
+// granting it anyway lets a stream of restarting readers keep a more
+// urgent writer waiting forever. A reader that outranks every queued
+// writer still bypasses them — it would queue ahead of them, and an
+// enqueued request that is compatible with the holders would wait on
+// nobody (invisible to the waits-for graph, so an undetectable stall).
+func (m *Manager) AcquireRanked(t TxnID, item txn.Item, mode Mode, priority float64) bool {
 	if m.Waiting(t) != nil {
 		panic(fmt.Sprintf("lock: txn %d acquiring %v while blocked on another item", t, item))
 	}
@@ -333,13 +360,13 @@ func (m *Manager) Acquire(t TxnID, item txn.Item, mode Mode) bool {
 	if e.hasConflict(t, mode) {
 		return false
 	}
-	// Note: a reader IS allowed to join current readers even when a writer
-	// is queued. The wait queue is priority-ordered, not FIFO, so the
-	// FIFO-fairness "no bypass" rule does not apply — and enforcing it
-	// here once produced requests that were blocked while waiting on
-	// nobody, invisible to the waits-for graph (an undetectable stall).
-	// Writer starvation is bounded by the priority queue: the writer is
-	// granted at the first release at which it outranks the readers.
+	if mode == Read {
+		for _, w := range e.waiters {
+			if w.Mode == Write && w.Priority >= priority {
+				return false
+			}
+		}
+	}
 	e.setOrAddHolder(t, mode)
 	m.heldSetOrAdd(t, item, mode)
 	return true
@@ -352,7 +379,14 @@ func (m *Manager) Enqueue(r *Request) {
 	if m.Waiting(r.Txn) != nil {
 		panic(fmt.Sprintf("lock: txn %d enqueued twice", r.Txn))
 	}
-	e := m.entry(r.Item)
+	m.entry(r.Item).insertWaiter(r)
+	m.growTxn(r.Txn)
+	m.waiting[r.Txn] = r
+}
+
+// insertWaiter queues r in descending priority order, after any request of
+// equal priority.
+func (e *entry) insertWaiter(r *Request) {
 	pos := len(e.waiters)
 	for i, w := range e.waiters {
 		if r.Priority > w.Priority {
@@ -363,8 +397,35 @@ func (m *Manager) Enqueue(r *Request) {
 	e.waiters = append(e.waiters, nil)
 	copy(e.waiters[pos+1:], e.waiters[pos:])
 	e.waiters[pos] = r
-	m.growTxn(r.Txn)
-	m.waiting[r.Txn] = r
+}
+
+// removeWaiter drops r from the queue.
+func (e *entry) removeWaiter(r *Request) {
+	for i, w := range e.waiters {
+		if w == r {
+			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
+			return
+		}
+	}
+}
+
+// Reprioritize re-queues t's blocked request (if any) under a new
+// priority. The engine calls it when a waiter's effective priority moves
+// (inheritance, dynamic evaluation), so grants and AcquireRanked follow
+// current priorities rather than the ones in force at Enqueue. A request
+// that moves ahead can become grantable (a reader passing a writer onto
+// current readers), so the grant pass re-runs; the caller must wake the
+// returned requests.
+func (m *Manager) Reprioritize(t TxnID, priority float64) []*Request {
+	r := m.Waiting(t)
+	if r == nil || r.Priority == priority {
+		return nil
+	}
+	e := m.entry(r.Item)
+	e.removeWaiter(r)
+	r.Priority = priority
+	e.insertWaiter(r)
+	return m.grantWaiters(r.Item)
 }
 
 // Waiting returns the request t is blocked on, or nil.
@@ -396,13 +457,7 @@ func (m *Manager) CancelWait(t TxnID) (granted []*Request, wasWaiting bool) {
 		return nil, false
 	}
 	m.waiting[t] = nil
-	e := m.entry(r.Item)
-	for i, w := range e.waiters {
-		if w == r {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-			break
-		}
-	}
+	m.entry(r.Item).removeWaiter(r)
 	return m.grantWaiters(r.Item), true
 }
 
@@ -422,7 +477,10 @@ func (m *Manager) ReleaseAll(t TxnID) []*Request {
 		granted = append(granted, m.grantWaiters(h.item)...)
 	}
 	if hs != nil {
-		m.held[t] = hs[:0]
+		// Only now: the grant pass above may hand lists to other
+		// transactions and must not be given the one it iterates.
+		m.held[t] = nil
+		m.spare = append(m.spare, hs[:0])
 	}
 	return granted
 }

@@ -451,3 +451,123 @@ func TestModeString(t *testing.T) {
 		t.Fatal("Mode.String wrong")
 	}
 }
+
+// TestHeldListRecycling: ReleaseAll hands held lists to the free list, so
+// a steady acquire→ReleaseAll cycle for a fresh transaction allocates
+// nothing on a pre-sized manager.
+func TestHeldListRecycling(t *testing.T) {
+	m := NewManagerSized(16, 1000)
+	m.Acquire(999, 3, Write)
+	m.ReleaseAll(999)
+	id := TxnID(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		m.Acquire(id, txn.Item(id%16), Write)
+		m.Acquire(id, txn.Item((id+5)%16), Read)
+		if granted := m.ReleaseAll(id); granted != nil {
+			t.Fatalf("ReleaseAll granted %v with no waiters", granted)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("acquire→ReleaseAll cycle allocates %v times per run, want 0", allocs)
+	}
+	if len(m.spare) != 1 {
+		t.Fatalf("%d spare held lists after the cycles, want 1", len(m.spare))
+	}
+}
+
+// TestHeldListReuseKeepsAnswers: a held list reused by another transaction
+// carries nothing over — Holds, HeldBy and HeldCount stay per transaction.
+func TestHeldListReuseKeepsAnswers(t *testing.T) {
+	m := NewManager()
+	m.Acquire(1, 10, Write)
+	m.Acquire(1, 11, Write)
+	m.ReleaseAll(1)
+	m.Acquire(2, 12, Write) // reuses T1's list
+	if len(m.spare) != 0 {
+		t.Fatalf("T2 did not take T1's list from the free list (%d spare)", len(m.spare))
+	}
+	if m.Holds(1, 10) || m.Holds(1, 11) || m.HeldCount(1) != 0 || len(m.HeldBy(1)) != 0 {
+		t.Fatalf("released T1 still reports holds: HeldBy = %v", m.HeldBy(1))
+	}
+	if got := m.HeldBy(2); len(got) != 1 || got[0] != 12 || !m.Holds(2, 12) {
+		t.Fatalf("HeldBy(T2) = %v, want [12]", got)
+	}
+	m.Acquire(1, 10, Read) // T1's next life
+	if got := m.HeldBy(1); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("HeldBy(T1) = %v, want [10]", got)
+	}
+	if got := m.HeldBy(2); len(got) != 1 || got[0] != 12 {
+		t.Fatalf("HeldBy(T2) = %v after T1 reacquired, want [12]", got)
+	}
+	m.CheckInvariants()
+}
+
+// TestAcquireRankedReaderRespectsQueuedWriter: a reader joins current
+// readers only if it outranks every queued writer; otherwise it must
+// queue behind the writer instead of extending the reader set forever.
+func TestAcquireRankedReaderRespectsQueuedWriter(t *testing.T) {
+	m := NewManager()
+	if !m.AcquireRanked(1, 7, Read, 1) {
+		t.Fatal("first reader denied")
+	}
+	if m.AcquireRanked(2, 7, Write, 5) {
+		t.Fatal("writer granted over a reader")
+	}
+	m.Enqueue(&Request{Txn: 2, Item: 7, Mode: Write, Priority: 5})
+	if m.AcquireRanked(3, 7, Read, 4) {
+		t.Fatal("lower-ranked reader bypassed the queued writer")
+	}
+	if m.AcquireRanked(3, 7, Read, 5) {
+		t.Fatal("equal-ranked reader bypassed the earlier queued writer")
+	}
+	if !m.AcquireRanked(4, 7, Read, 6) {
+		t.Fatal("reader that outranks the queued writer was denied")
+	}
+	if !m.Acquire(5, 7, Read) {
+		t.Fatal("unranked Acquire denied a reader (it ranks above every waiter)")
+	}
+	m.CheckInvariants()
+}
+
+// TestReprioritizeRequeuesAndGrants: a queued reader that moves ahead of
+// the writer blocking it, onto an item held only by readers, is granted at
+// once — whether it rises or the writer falls.
+func TestReprioritizeRequeuesAndGrants(t *testing.T) {
+	setup := func() *Manager {
+		m := NewManager()
+		m.AcquireRanked(1, 7, Read, 1)
+		m.Enqueue(&Request{Txn: 2, Item: 7, Mode: Write, Priority: 5})
+		m.Enqueue(&Request{Txn: 3, Item: 7, Mode: Read, Priority: 4})
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		txn  TxnID
+		pr   float64
+	}{{"reader rises", 3, 9}, {"writer falls", 2, 3}} {
+		m := setup()
+		if got := m.Reprioritize(3, 4); got != nil {
+			t.Fatalf("%s: unchanged priority granted %v", tc.name, got)
+		}
+		granted := m.Reprioritize(tc.txn, tc.pr)
+		if len(granted) != 1 || granted[0].Txn != 3 {
+			t.Fatalf("%s: granted %v, want T3", tc.name, granted)
+		}
+		if m.Waiting(3) != nil || !m.Holds(3, 7) {
+			t.Fatalf("%s: granted reader still waiting or not holding", tc.name)
+		}
+		if ws := m.Waiters(7); len(ws) != 1 || ws[0].Txn != 2 {
+			t.Fatalf("%s: queue = %v, want the writer alone", tc.name, ws)
+		}
+		m.CheckInvariants()
+	}
+	m := setup()
+	if got := m.Reprioritize(2, 8); got != nil {
+		t.Fatalf("raising the writer granted %v", got)
+	}
+	if m.Reprioritize(9, 1) != nil {
+		t.Fatal("Reprioritize of a transaction that is not waiting granted something")
+	}
+	m.CheckInvariants()
+}

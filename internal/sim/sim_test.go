@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -499,3 +500,367 @@ func benchCalendarChurn(b *testing.B, s func() *Simulator) {
 
 func BenchmarkCalendarChurnPooled(b *testing.B)   { benchCalendarChurn(b, New) }
 func BenchmarkCalendarChurnUnpooled(b *testing.B) { benchCalendarChurn(b, NewUnpooled) }
+
+// --- equivalence with the original calendar -------------------------------
+
+// refEvent, refHandle and refSim are the calendar this package shipped
+// before the pointer-free one: a container/heap of *refEvent with eager
+// removal on cancel, pooled or not. They are kept here only as the oracle
+// the property test below compares against. (A pooled record keeps one
+// cancelled incarnation, so a cancelled handle stops reporting Cancelled
+// once its recycled record is cancelled again; the unpooled calendar
+// never recycles. Both calendars reproduce their original's answer.)
+type refEvent struct {
+	at           Time
+	seq          uint64
+	fn           func()
+	index        int
+	gen          uint64
+	cancelledGen uint64
+}
+
+type refHandle struct {
+	ev  *refEvent
+	gen uint64
+}
+
+func (h refHandle) Pending() bool   { return h.ev != nil && h.ev.gen == h.gen }
+func (h refHandle) Cancelled() bool { return h.ev != nil && h.ev.cancelledGen == h.gen }
+
+type refSim struct {
+	now      Time
+	seq      uint64
+	calendar refHeap
+	executed uint64
+	free     []*refEvent
+	pool     bool
+}
+
+func (s *refSim) At(t Time, fn func()) refHandle {
+	if t < s.now {
+		panic("ref: scheduling in the past")
+	}
+	var e *refEvent
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		e = &refEvent{gen: 1}
+	}
+	e.at, e.seq, e.fn = t, s.seq, fn
+	s.seq++
+	heap.Push(&s.calendar, e)
+	return refHandle{ev: e, gen: e.gen}
+}
+
+func (s *refSim) recycle(e *refEvent) {
+	e.gen++
+	e.fn = nil
+	if s.pool {
+		s.free = append(s.free, e)
+	}
+}
+
+func (s *refSim) Cancel(h refHandle) bool {
+	e := h.ev
+	if e == nil || e.gen != h.gen {
+		return false
+	}
+	heap.Remove(&s.calendar, e.index)
+	e.cancelledGen = e.gen
+	s.recycle(e)
+	return true
+}
+
+func (s *refSim) Step() bool {
+	if len(s.calendar) == 0 {
+		return false
+	}
+	e := heap.Pop(&s.calendar).(*refEvent)
+	s.now = e.at
+	s.executed++
+	fn := e.fn
+	s.recycle(e)
+	fn()
+	return true
+}
+
+func (s *refSim) RunUntil(t Time) {
+	for len(s.calendar) > 0 && s.calendar[0].at <= t {
+		s.Step()
+	}
+	if t > s.now {
+		s.now = t
+	}
+}
+
+func (s *refSim) NextAt() (Time, bool) {
+	if len(s.calendar) == 0 {
+		return 0, false
+	}
+	return s.calendar[0].at, true
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *refHeap) Push(x any) {
+	e := x.(*refEvent)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.index = -1
+	*h = old[:n-1]
+	return e
+}
+
+// calendar is the surface the property test drives; handles are indices
+// into the driver's list of every handle ever issued.
+type calendar interface {
+	at(t Time, fn func()) int
+	cancel(i int) bool
+	handleState(i int) (pending, cancelled bool)
+	step() bool
+	runUntil(t Time)
+	nextAt() (Time, bool)
+	now() Time
+	pending() int
+	executed() uint64
+}
+
+type simCal struct {
+	s  *Simulator
+	hs []Handle
+}
+
+func (c *simCal) at(t Time, fn func()) int { c.hs = append(c.hs, c.s.At(t, fn)); return len(c.hs) - 1 }
+func (c *simCal) cancel(i int) bool        { return c.s.Cancel(c.hs[i]) }
+func (c *simCal) handleState(i int) (bool, bool) {
+	return c.hs[i].Pending(), c.hs[i].Cancelled()
+}
+func (c *simCal) step() bool           { return c.s.Step() }
+func (c *simCal) runUntil(t Time)      { c.s.RunUntil(t) }
+func (c *simCal) nextAt() (Time, bool) { return c.s.NextAt() }
+func (c *simCal) now() Time            { return c.s.Now() }
+func (c *simCal) pending() int         { return c.s.Pending() }
+func (c *simCal) executed() uint64     { return c.s.Executed() }
+
+type refCal struct {
+	s  refSim
+	hs []refHandle
+}
+
+func (c *refCal) at(t Time, fn func()) int { c.hs = append(c.hs, c.s.At(t, fn)); return len(c.hs) - 1 }
+func (c *refCal) cancel(i int) bool        { return c.s.Cancel(c.hs[i]) }
+func (c *refCal) handleState(i int) (bool, bool) {
+	return c.hs[i].Pending(), c.hs[i].Cancelled()
+}
+func (c *refCal) step() bool           { return c.s.Step() }
+func (c *refCal) runUntil(t Time)      { c.s.RunUntil(t) }
+func (c *refCal) nextAt() (Time, bool) { return c.s.NextAt() }
+func (c *refCal) now() Time            { return c.s.now }
+func (c *refCal) pending() int         { return len(c.s.calendar) }
+func (c *refCal) executed() uint64     { return c.s.executed }
+
+// calDriver applies a random operation stream to one calendar. Two drivers
+// seeded alike make identical choices for as long as their calendars
+// behave identically, so any divergence shows up in the compared state.
+type calDriver struct {
+	cal     calendar
+	rng     *rand.Rand
+	fired   []int // labels in firing order
+	checked int   // prefix of fired already compared
+	labels  int
+	handles int
+}
+
+func (d *calDriver) schedule(t Time) {
+	label := d.labels
+	d.labels++
+	d.cal.at(t, func() { d.fire(label) })
+	d.handles++
+}
+
+// fire is every event's callback: it logs the label and sometimes
+// schedules (often at the current instant) or cancels from inside the
+// callback.
+func (d *calDriver) fire(label int) {
+	d.fired = append(d.fired, label)
+	switch d.rng.Intn(6) {
+	case 0, 1:
+		d.schedule(d.cal.now() + Time(d.rng.Intn(3)))
+	case 2:
+		d.cal.cancel(d.rng.Intn(d.handles))
+	}
+}
+
+// op performs one random operation.
+func (d *calDriver) op() {
+	now := d.cal.now()
+	switch r := d.rng.Intn(100); {
+	case r < 30: // near-future, many same-instant ties
+		d.schedule(now + Time(d.rng.Intn(4)))
+	case r < 38: // far future
+		d.schedule(now + Time(100+d.rng.Intn(1000)))
+	case r < 42: // a presorted batch, like a run's arrivals
+		t := now
+		for k := d.rng.Intn(20); k > 0; k-- {
+			t += Time(d.rng.Intn(3))
+			d.schedule(t)
+		}
+	case r < 60: // cancel any handle: pending, fired, cancelled or recycled
+		if d.handles > 0 {
+			d.cal.cancel(d.rng.Intn(d.handles))
+		}
+	case r < 88:
+		d.cal.step()
+	case r < 95:
+		d.cal.runUntil(now + Time(d.rng.Intn(8)))
+	default:
+		d.cal.nextAt()
+	}
+}
+
+func compareCalendars(t *testing.T, a, b *calDriver, full bool) {
+	t.Helper()
+	if len(a.fired) != len(b.fired) {
+		t.Fatalf("fired %d events, reference fired %d", len(a.fired), len(b.fired))
+	}
+	for i := a.checked; i < len(a.fired); i++ {
+		if a.fired[i] != b.fired[i] {
+			t.Fatalf("firing %d: label %d, reference %d", i, a.fired[i], b.fired[i])
+		}
+	}
+	a.checked = len(a.fired)
+	if a.cal.now() != b.cal.now() || a.cal.pending() != b.cal.pending() || a.cal.executed() != b.cal.executed() {
+		t.Fatalf("now/pending/executed = %v/%d/%d, reference %v/%d/%d",
+			a.cal.now(), a.cal.pending(), a.cal.executed(), b.cal.now(), b.cal.pending(), b.cal.executed())
+	}
+	ta, oka := a.cal.nextAt()
+	tb, okb := b.cal.nextAt()
+	if ta != tb || oka != okb {
+		t.Fatalf("NextAt = %v,%v, reference %v,%v", ta, oka, tb, okb)
+	}
+	check := func(i int) {
+		pa, ca := a.cal.handleState(i)
+		pb, cb := b.cal.handleState(i)
+		if pa != pb || ca != cb {
+			t.Fatalf("handle %d: pending/cancelled = %v/%v, reference %v/%v", i, pa, ca, pb, cb)
+		}
+	}
+	if full {
+		for i := 0; i < a.handles; i++ {
+			check(i)
+		}
+	} else if a.handles > 0 {
+		for k := 0; k < 4; k++ {
+			check(a.rng.Intn(a.handles))
+			b.rng.Intn(b.handles) // keep the drivers' streams in lockstep
+		}
+	}
+}
+
+// TestCalendarMatchesReference drives the calendar and the original
+// container/heap calendar with identical random operation streams and
+// asserts identical firing order, clock, counters and handle answers.
+func TestCalendarMatchesReference(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		new  func() *Simulator
+		pool bool
+	}{{"pooled", New, true}, {"unpooled", NewUnpooled, false}} {
+		t.Run(mk.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 100; seed++ {
+				a := &calDriver{cal: &simCal{s: mk.new()}, rng: rand.New(rand.NewSource(seed))}
+				b := &calDriver{cal: &refCal{s: refSim{pool: mk.pool}}, rng: rand.New(rand.NewSource(seed))}
+				for i := 0; i < 1500; i++ {
+					a.op()
+					b.op()
+					compareCalendars(t, a, b, false)
+				}
+				for a.cal.step() {
+				}
+				for b.cal.step() {
+				}
+				compareCalendars(t, a, b, true)
+			}
+		})
+	}
+}
+
+// TestCalendarMemoryTracksPending: with a few far-future events pending, a
+// long stream of scheduled and cancelled events — in the heap and behind
+// the far events on the run — must not grow the heap, the run or the
+// record table beyond a constant factor of Pending.
+func TestCalendarMemoryTracksPending(t *testing.T) {
+	const far = Time(1) << 40
+	for _, mk := range []struct {
+		name string
+		new  func() *Simulator
+	}{{"pooled", New}, {"unpooled", NewUnpooled}} {
+		t.Run(mk.name, func(t *testing.T) {
+			s := mk.new()
+			fn := func() {}
+			var farHandles []Handle
+			for j := 0; j < 8; j++ {
+				farHandles = append(farHandles, s.At(far+Time(j), fn))
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 50000; i++ {
+				// Each iteration schedules one near event and one run
+				// tail, then removes two: Pending stays at 8 or 9.
+				near := s.After(Time(1+rng.Intn(7)), fn)
+				s.Cancel(s.At(far+Time(8+i), fn))
+				if rng.Intn(2) == 0 {
+					s.Cancel(near)
+				} else {
+					s.Step()
+				}
+				p := s.Pending()
+				if slots := cap(s.heap) + cap(s.run); slots > 8*p {
+					t.Fatalf("iteration %d: heap+run capacity %d with %d pending", i, slots, p)
+				}
+				if len(s.recs) > eventSlabSize {
+					t.Fatalf("iteration %d: %d records with %d pending", i, len(s.recs), p)
+				}
+			}
+			for _, h := range farHandles {
+				if !h.Pending() {
+					t.Fatal("a far-future event left the calendar")
+				}
+			}
+
+			// A sliding window on the run: every fired event appends one
+			// at the tail, so the run never drains and its consumed
+			// prefix must be compacted away.
+			s = mk.new()
+			var tick func()
+			tick = func() { s.After(8, tick) }
+			for j := 1; j <= 8; j++ {
+				s.At(s.Now()+Time(j), tick)
+			}
+			for i := 0; i < 50000; i++ {
+				s.Step()
+				if p := s.Pending(); cap(s.run) > 8*p || len(s.heap) != 0 {
+					t.Fatalf("window step %d: run capacity %d, heap %d, with %d pending", i, cap(s.run), len(s.heap), p)
+				}
+			}
+		})
+	}
+}
